@@ -60,10 +60,13 @@ class Digraph:
     def add_arc(self, u: Node, v: Node) -> None:
         if u == v:
             raise PartitionError(f"self-loop {u!r} -> {v!r} is not allowed")
-        self.add_node(u)
-        self.add_node(v)
-        self._succ[u].add(v)
-        self._pred[v].add(u)
+        succ, pred = self._succ, self._pred
+        if u not in succ:
+            succ[u], pred[u] = set(), set()
+        if v not in succ:
+            succ[v], pred[v] = set(), set()
+        succ[u].add(v)
+        pred[v].add(u)
 
     def remove_arc(self, u: Node, v: Node) -> None:
         self._succ[u].discard(v)
@@ -177,6 +180,58 @@ class Digraph:
         if len(order) != len(self._succ):
             raise PartitionError("graph has a cycle; no topological order")
         return order
+
+    def strongly_connected_components(self) -> list[list[Node]]:
+        """Tarjan's strongly connected components, without recursion.
+
+        Every node lies in exactly one component; a node on no cycle is
+        a component of its own.  Components come out in reverse
+        topological order of the condensation: no arc leaves a component
+        for one listed after it.  Linear in nodes plus arcs, and an
+        explicit work stack keeps long paths off the interpreter stack.
+        """
+        succ = self._succ
+        index: dict[Node, int] = {}
+        low: dict[Node, int] = {}
+        on_stack: set[Node] = set()
+        stack: list[Node] = []
+        components: list[list[Node]] = []
+        for root in succ:
+            if root in index:
+                continue
+            index[root] = low[root] = len(index)
+            stack.append(root)
+            on_stack.add(root)
+            work: list[tuple[Node, Iterator[Node]]] = [
+                (root, iter(succ[root]))
+            ]
+            while work:
+                node, children = work[-1]
+                for child in children:
+                    if child not in index:
+                        index[child] = low[child] = len(index)
+                        stack.append(child)
+                        on_stack.add(child)
+                        work.append((child, iter(succ[child])))
+                        break
+                    if child in on_stack and index[child] < low[node]:
+                        low[node] = index[child]
+                else:
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[node] < low[parent]:
+                            low[parent] = low[node]
+                    if low[node] == index[node]:
+                        component = []
+                        while True:
+                            member = stack.pop()
+                            on_stack.discard(member)
+                            component.append(member)
+                            if member == node:
+                                break
+                        components.append(component)
+        return components
 
     # ------------------------------------------------------------------
     # Reachability, closure, reduction

@@ -23,7 +23,9 @@ from dataclasses import dataclass, field
 from repro.errors import ReproError
 from repro.scheduling import BaseScheduler
 from repro.sim.workload import TxnSpec
+from repro.txn.clock import Timestamp
 from repro.txn.depgraph import serialization_order
+from repro.txn.schedule import Action, Schedule
 from repro.txn.transaction import GranuleId
 
 
@@ -102,15 +104,7 @@ def replay_serially(
     # computed during the replay — order-sensitive exactly where value
     # flow (reads, RMW chains) makes it observable.
     report = ReplayReport(transactions_replayed=replayed)
-    final_writer: dict[GranuleId, int] = {}
-    for granule in scheduler.schedule.granules():
-        versions = scheduler.schedule.version_order(granule)
-        if not versions:
-            continue
-        writer = _writer_of(scheduler.schedule, granule, versions[-1])
-        if writer is not None:
-            final_writer[granule] = writer
-    for granule, writer in final_writer.items():
+    for granule, writer in _final_writers(scheduler.schedule).items():
         key = (writer, granule)
         if key not in left_by:
             continue  # writer not driven through the simulator
@@ -122,17 +116,27 @@ def replay_serially(
     return report
 
 
-def _writer_of(schedule, granule: GranuleId, version_ts) -> int | None:
-    from repro.txn.schedule import Action
+def _final_writers(schedule: Schedule) -> dict[GranuleId, int]:
+    """Writer of each granule's newest committed version, in one pass.
 
+    The writer of a version is the first transaction recorded writing
+    it, committed or not, so ``(granule, ts) -> writer`` keeps the first.
+    """
+    committed = schedule.committed_txn_ids()
+    writer_at: dict[tuple[GranuleId, Timestamp], int] = {}
+    newest: dict[GranuleId, Timestamp] = {}
     for step in schedule.steps:
-        if (
-            step.action is Action.WRITE
-            and step.granule == granule
-            and step.version_ts == version_ts
+        if step.action is not Action.WRITE:
+            continue
+        granule, ts = step.granule, step.version_ts
+        writer_at.setdefault((granule, ts), step.txn_id)
+        if step.txn_id in committed and (
+            granule not in newest or ts > newest[granule]
         ):
-            return step.txn_id
-    return None
+            newest[granule] = ts
+    return {
+        granule: writer_at[(granule, ts)] for granule, ts in newest.items()
+    }
 
 
 def verify_serial_equivalence(

@@ -14,11 +14,36 @@ must come *after* t1 in any equivalent serial schedule):
 2. *overwrites-read*: ``t2`` created a version whose immediate
    predecessor (in the version order) was read by ``t1``.
 
-We also provide the full Bernstein–Goodman multi-version
-serialization graph (``mode="mvsg"``), which generalises rule 2 to
-arbitrary version-order positions; on the schedules our schedulers emit
-the two tests agree (a property test checks this), but the MVSG variant
-is useful when auditing hand-written schedules.
+The full Bernstein–Goodman multi-version serialization graph
+(``mode="mvsg"``) generalises rule 2 to every version-order position.
+For a committed read ``r`` of version ``v_j`` of a granule whose
+committed versions are ``v_1 << ... << v_k`` (``W_i`` wrote ``v_i``)
+it has, besides reads-from ``r -> W_j``, the arcs ``W_i -> r`` for
+every ``i > j`` and ``W_j -> W_i`` for every ``i < j``.
+:func:`build_dependency_graph` lists those arcs pairwise, which costs
+reads × versions; it is the reference and explains a cycle once one
+is known (:func:`find_dependency_cycle`).
+
+The audit, ``is_serializable(schedule, mode="mvsg")``, decides the same
+question in time linear in the schedule.  It takes the paper's TG
+(whose arcs are all MVSG arcs) and adds two chains of virtual nodes per
+granule over its version order (:func:`mvsg_reachability_graph`):
+
+* the *down* chain ``D_i -> W_i`` and ``D_i -> D_{i-1}``, entered by
+  ``W_j -> D_{j-1}`` for each committed read of ``v_j``, so ``W_j``
+  reaches exactly ``W_1 .. W_{j-1}``;
+* the *up* chain ``W_i -> U_i`` and ``U_i -> U_{i-1}``, left by
+  ``U_{j+1} -> r`` for each committed read ``r`` of ``v_j``, so ``r``
+  is reached from exactly ``W_{j+1} .. W_k``.
+
+A path from one real transaction to the next through virtual nodes
+alone therefore is exactly one MVSG arc, or an MVSG self-arc the graph
+drops (a read-modify-write reaches itself through the up chain).  So
+two distinct transactions reach each other in this graph iff they do in
+the MVSG, and the schedule is serializable iff no strongly connected
+component holds two or more real transactions.  One Tarjan pass
+(:meth:`~repro.core.graph.Digraph.strongly_connected_components`)
+decides that.  The graph has at most four arcs per committed data step.
 
 Version order: versions are ordered by write timestamp, which every
 scheduler in this library sets to the writer's initiation timestamp
@@ -29,6 +54,7 @@ schedule-position definition on the executions we generate.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Literal, Optional
 
@@ -56,6 +82,33 @@ class Dependency:
         )
 
 
+#: (granule, version_ts) -> the transaction that wrote that version.
+_WriterIndex = dict[tuple[GranuleId, Timestamp], int]
+#: (reader, granule, version_ts) for every read, in schedule order.
+_ReadList = list[tuple[int, GranuleId, Timestamp]]
+
+
+def _committed_steps(
+    schedule: Schedule, committed: set[int]
+) -> tuple[_WriterIndex, _ReadList]:
+    """One pass: who wrote each version, and every read, in order.
+
+    Steps of transactions outside ``committed`` are skipped, except the
+    bootstrap transaction's, whose writes are the initial versions.
+    """
+    writer_of: _WriterIndex = {}
+    reads: _ReadList = []
+    for step in schedule.steps:
+        txn_id = step.txn_id
+        if txn_id not in committed and txn_id != BOOTSTRAP_TXN_ID:
+            continue
+        if step.action is Action.WRITE:
+            writer_of[(step.granule, step.version_ts)] = txn_id
+        elif step.action is Action.READ:
+            reads.append((txn_id, step.granule, step.version_ts))
+    return writer_of, reads
+
+
 def build_dependency_graph(
     schedule: Schedule,
     mode: DependencyMode = "paper",
@@ -66,23 +119,13 @@ def build_dependency_graph(
     Returns the digraph plus the annotated dependency list.  The
     bootstrap transaction (initial versions) is excluded by default: it
     precedes everything and only adds noise to diagnostics.
+    ``mode="mvsg"`` lists the MVSG arcs pairwise (see the module
+    docstring); the audit does not build it.
     """
     committed = schedule.committed_txn_ids()
     if include_bootstrap:
         committed = committed | {BOOTSTRAP_TXN_ID}
-
-    # writer_of[(granule, version_ts)] -> txn id
-    writer_of: dict[tuple[GranuleId, Timestamp], int] = {}
-    # reads: (txn, granule, version_ts) in schedule order
-    reads: list[tuple[int, GranuleId, Timestamp]] = []
-    for step in schedule.data_steps(committed_only=False):
-        if step.txn_id not in committed and step.txn_id != BOOTSTRAP_TXN_ID:
-            continue
-        assert step.granule is not None and step.version_ts is not None
-        if step.action is Action.WRITE:
-            writer_of[(step.granule, step.version_ts)] = step.txn_id
-        else:
-            reads.append((step.txn_id, step.granule, step.version_ts))
+    writer_of, reads = _committed_steps(schedule, committed)
 
     graph = Digraph(nodes=sorted(committed))
     deps: list[Dependency] = []
@@ -92,8 +135,7 @@ def build_dependency_graph(
             return
         if later not in committed or earlier not in committed:
             return
-        if not graph.has_arc(later, earlier):
-            graph.add_arc(later, earlier)
+        graph.add_arc(later, earlier)
         deps.append(Dependency(later, earlier, granule, kind))
 
     # Rule 1: reads-from.
@@ -102,12 +144,9 @@ def build_dependency_graph(
         add(reader, writer, granule, "reads-from")
 
     # Rule 2: overwrites-read (paper) or full version-order (mvsg).
-    version_orders = {
-        granule: schedule.version_order(granule)
-        for granule in schedule.granules()
-    }
+    version_orders = schedule.version_orders()
     for reader, granule, read_ts in reads:
-        order = version_orders[granule]
+        order = version_orders.get(granule, [])
         if mode == "paper":
             successor_ts = _immediate_successor(order, read_ts)
             if successor_ts is not None:
@@ -144,14 +183,70 @@ def _immediate_successor(
     bootstrap version (ts 0) may not appear in it, in which case the
     successor is the first committed version.
     """
-    later = [ts for ts in order if ts > version_ts]
-    return min(later) if later else None
+    above = bisect_right(order, version_ts)
+    return order[above] if above < len(order) else None
+
+
+def mvsg_reachability_graph(schedule: Schedule) -> Digraph:
+    """The paper's TG plus per-granule version chains (module docstring).
+
+    Real nodes are the committed transaction ids; the virtual chain
+    nodes are tuples ``("down" | "up", granule, i)`` for the ``i``-th
+    committed version of ``granule`` (from 0).  Between distinct
+    transactions, reachability equals reachability in the MVSG.
+    """
+    graph, _ = build_dependency_graph(schedule, mode="paper")
+    committed = schedule.committed_txn_ids()
+    writer_of, reads = _committed_steps(schedule, committed)
+    reads_of: dict[GranuleId, list[tuple[int, Timestamp]]] = {}
+    for reader, granule, read_ts in reads:
+        if reader in committed:
+            reads_of.setdefault(granule, []).append((reader, read_ts))
+
+    add_arc = graph.add_arc
+    version_orders = schedule.version_orders()
+    for granule, granule_reads in reads_of.items():
+        order = version_orders.get(granule)
+        if not order:
+            continue
+        writers = [writer_of.get((granule, ts)) for ts in order]
+        down = [("down", granule, i) for i in range(len(order))]
+        up = [("up", granule, i) for i in range(len(order))]
+        for i, writer in enumerate(writers):
+            if writer in committed:
+                add_arc(down[i], writer)
+                add_arc(writer, up[i])
+            if i:
+                add_arc(down[i], down[i - 1])
+                add_arc(up[i], up[i - 1])
+        for reader, read_ts in granule_reads:
+            above = bisect_right(order, read_ts)
+            if above < len(order):
+                add_arc(up[above], reader)
+            read_index = above - 1
+            if read_index > 0 and order[read_index] == read_ts:
+                writer = writers[read_index]
+                if writer in committed:
+                    add_arc(writer, down[read_index - 1])
+    return graph
 
 
 def is_serializable(
     schedule: Schedule, mode: DependencyMode = "paper"
 ) -> bool:
-    """Serializability test: is ``TG(S(T))`` acyclic (paper's criterion)?"""
+    """Serializability test: is the dependency graph of ``mode`` acyclic?
+
+    ``mode="paper"`` tests the paper's TG.  ``mode="mvsg"`` is the
+    linear audit: no strongly connected component of
+    :func:`mvsg_reachability_graph` may hold two real transactions.
+    """
+    if mode == "mvsg":
+        graph = mvsg_reachability_graph(schedule)
+        return not any(
+            len(component) > 1
+            and sum(not isinstance(node, tuple) for node in component) > 1
+            for component in graph.strongly_connected_components()
+        )
     graph, _ = build_dependency_graph(schedule, mode=mode)
     return graph.is_acyclic()
 

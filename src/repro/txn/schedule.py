@@ -117,24 +117,29 @@ class Schedule:
             result.append(step)
         return result
 
-    def version_order(self, granule: GranuleId) -> list[Timestamp]:
-        """Committed versions of ``granule`` ordered by write timestamp.
+    def version_orders(self) -> dict[GranuleId, list[Timestamp]]:
+        """Every granule's committed version order, in one pass.
 
-        This is the version order ``<<`` used to resolve the paper's
-        *predecessor* relation.  Write timestamps are unique per granule
-        (each writer installs at its own initiation timestamp), so the
-        sort is total.
+        The version order ``<<`` resolves the paper's *predecessor*
+        relation: the committed versions of a granule ordered by write
+        timestamp.  Write timestamps are unique per granule (each writer
+        installs at its own initiation timestamp), so the sort is total.
+        Granules with no committed write are absent.
         """
         committed = self.committed_txn_ids()
-        versions = {
-            step.version_ts
-            for step in self.steps
-            if step.action is Action.WRITE
-            and step.granule == granule
-            and step.txn_id in committed
-            and step.version_ts is not None
-        }
-        return sorted(versions)
+        versions: dict[GranuleId, set[Timestamp]] = {}
+        for step in self.steps:
+            if (
+                step.action is Action.WRITE
+                and step.txn_id in committed
+                and step.version_ts is not None
+            ):
+                versions.setdefault(step.granule, set()).add(step.version_ts)
+        return {granule: sorted(ts) for granule, ts in versions.items()}
+
+    def version_order(self, granule: GranuleId) -> list[Timestamp]:
+        """Committed versions of ``granule`` ordered by write timestamp."""
+        return self.version_orders().get(granule, [])
 
     def granules(self) -> set[GranuleId]:
         return {

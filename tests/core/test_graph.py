@@ -77,6 +77,57 @@ class TestCycles:
             Digraph(arcs=[(1, 2), (2, 1)]).topological_order()
 
 
+def components(graph: Digraph) -> set[frozenset]:
+    return {frozenset(c) for c in graph.strongly_connected_components()}
+
+
+class TestStronglyConnectedComponents:
+    def test_dag_has_only_singletons(self):
+        g = Digraph(arcs=[(1, 2), (2, 3), (1, 3), (4, 3)])
+        assert components(g) == {frozenset({n}) for n in (1, 2, 3, 4)}
+
+    def test_single_cycle_is_one_component(self):
+        g = Digraph(arcs=[(1, 2), (2, 3), (3, 1), (0, 1), (3, 4)])
+        assert components(g) == {
+            frozenset({1, 2, 3}), frozenset({0}), frozenset({4})
+        }
+
+    def test_nested_cycles_merge(self):
+        # Two cycles sharing node 2, a third reached from them, and a
+        # cycle inside a cycle (5 -> 6 -> 5 within 4 -> 5 -> 6 -> 4).
+        g = Digraph(arcs=[
+            (1, 2), (2, 1), (2, 3), (3, 2),
+            (3, 4), (4, 5), (5, 6), (6, 5), (6, 4),
+        ])
+        assert components(g) == {frozenset({1, 2, 3}), frozenset({4, 5, 6})}
+
+    def test_components_in_reverse_topological_order(self):
+        g = Digraph(arcs=[(1, 2), (2, 1), (2, 3), (3, 4), (4, 3)])
+        position = {
+            node: i
+            for i, component in enumerate(g.strongly_connected_components())
+            for node in component
+        }
+        for u, v in g.arcs:
+            assert position[v] <= position[u]
+
+    def test_isolated_nodes(self):
+        g = Digraph(nodes=["a", "b"], arcs=[("c", "d"), ("d", "c")])
+        assert components(g) == {
+            frozenset({"a"}), frozenset({"b"}), frozenset({"c", "d"})
+        }
+
+    def test_empty_graph(self):
+        assert Digraph().strongly_connected_components() == []
+
+    def test_long_path_needs_no_recursion(self):
+        n = 200_000
+        g = Digraph(arcs=[(i, i + 1) for i in range(n - 1)])
+        assert len(g.strongly_connected_components()) == n
+        g.add_arc(n - 1, 0)
+        assert len(g.strongly_connected_components()) == 1
+
+
 class TestClosureReduction:
     def test_transitive_closure(self):
         g = Digraph(arcs=[(1, 2), (2, 3)])

@@ -1,5 +1,6 @@
 """Oracle-layer unit behaviour (the corpus tests cover end-to-end)."""
 
+from repro.explore import CORPUS, run_case
 from repro.explore.cases import ExploreCase, RunReport
 from repro.explore.oracles import (
     Violation,
@@ -9,6 +10,7 @@ from repro.explore.oracles import (
     check_serializability,
 )
 from repro.explore.perturb import Choice
+from repro.txn.depgraph import build_dependency_graph, is_serializable
 
 
 def test_violation_round_trip():
@@ -30,6 +32,24 @@ def test_engine_error_oracle_reports_run_errors():
 
 def test_serializability_oracle_needs_a_schedule():
     assert check_serializability(RunReport(case=ExploreCase())) is None
+
+
+def test_linear_audit_matches_all_pairs_on_the_corpus():
+    """On every mutant's unperturbed run the audit's verdict is the
+    pairwise MVSG's, and the wall-skipping mutant's is a cycle the
+    oracle reports with its arcs."""
+    violations = {}
+    for entry in CORPUS:
+        report = run_case(entry.case())
+        schedule = report.scheduler.schedule
+        graph, _ = build_dependency_graph(schedule, mode="mvsg")
+        verdict = is_serializable(schedule, mode="mvsg")
+        assert verdict == graph.is_acyclic(), entry.name
+        violations[entry.name] = check_serializability(report)
+        assert (violations[entry.name] is None) == verdict, entry.name
+    caught = violations["hdd-skip-wall-wait"]
+    assert caught is not None
+    assert caught.detail.startswith("MVSG has a cycle: [")
 
 
 def test_batched_eager_applicability_gating():

@@ -21,7 +21,7 @@ from repro.core.scheduler import HDDScheduler
 from repro.sim.engine import Simulator
 from repro.sim.hierarchies import build_hierarchy_workload, chain_partition, tree_partition
 from repro.sim.inventory import build_inventory_partition, build_inventory_workload
-from repro.txn.depgraph import is_serializable
+from repro.txn.depgraph import build_dependency_graph, is_serializable
 
 
 def run_sim(make_scheduler, make_partition, seed, clients, skew):
@@ -85,6 +85,9 @@ def test_every_scheduler_serializable_on_random_workloads(
     scheduler = run_sim(make, partition_maker, seed, clients, skew)
     assert is_serializable(scheduler.schedule, mode="mvsg"), name
     assert is_serializable(scheduler.schedule, mode="paper"), name
+    # The linear audit's verdict is the all-pairs MVSG's.
+    mvsg, _ = build_dependency_graph(scheduler.schedule, mode="mvsg")
+    assert mvsg.is_acyclic(), name
 
 
 @given(
@@ -126,8 +129,6 @@ def test_hdd_enforces_psr(seed, clients, protocol_b):
 def test_paper_tg_is_subgraph_of_mvsg(seed):
     """On any generated execution, every paper-mode edge appears in the
     MVSG too (the acyclicity tests are consistent)."""
-    from repro.txn.depgraph import build_dependency_graph
-
     partition = build_inventory_partition()
     scheduler = HDDScheduler(partition)
     workload = build_inventory_workload(partition, granules_per_segment=4)

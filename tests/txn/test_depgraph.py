@@ -7,6 +7,7 @@ from repro.txn.depgraph import (
     build_dependency_graph,
     find_dependency_cycle,
     is_serializable,
+    mvsg_reachability_graph,
     serialization_order,
 )
 from repro.txn.schedule import Schedule
@@ -159,3 +160,129 @@ class TestLostUpdateSubtlety:
         cycle = find_dependency_cycle(self.lost_update(), mode="mvsg")
         assert cycle is not None
         assert {d.later for d in cycle} == {1, 2}
+
+
+def mvsg_verdict(schedule: Schedule) -> bool:
+    """The all-pairs reference: is the pairwise MVSG acyclic?"""
+    return build_dependency_graph(schedule, mode="mvsg")[0].is_acyclic()
+
+
+class TestLinearAudit:
+    """``is_serializable(mode="mvsg")`` checks version chains, not the
+    pairwise MVSG; each case pins its verdict against the reference."""
+
+    @staticmethod
+    def check(schedule: Schedule, expected: bool) -> None:
+        assert mvsg_verdict(schedule) is expected
+        assert is_serializable(schedule, mode="mvsg") is expected
+
+    def test_read_modify_write_reaching_itself_is_no_cycle(self):
+        # t1 reads d^0 and overwrites it: the up chain leads t1 back to
+        # itself, an MVSG self-arc, not a cycle.
+        s = Schedule()
+        s.record_read(1, "d", 0)
+        s.record_write(1, "d", 1)
+        s.record_commit(1)
+        self.check(s, True)
+
+    def test_reader_that_also_wrote_a_newer_version(self):
+        # t2 reads d^1 after writing d^3 (a self-arc, dropped); t3
+        # wrote d^2 in between, so t3 -> t2, and t2 read t3's e^2.
+        s = Schedule()
+        s.record_write(1, "d", 1)
+        s.record_commit(1)
+        s.record_write(3, "e", 2)
+        s.record_write(3, "d", 2)
+        s.record_write(2, "d", 3)
+        s.record_read(2, "d", 1)
+        s.record_read(2, "e", 2)
+        s.record_commit(2)
+        s.record_commit(3)
+        self.check(s, False)
+
+    def test_far_later_writer_closes_a_cycle(self):
+        # t1 read d^0; t3 wrote d^3, two versions on, and t1 read t3's
+        # e: only the version-order arc t3 -> t1 beyond the immediate
+        # successor closes the cycle, so the paper TG misses it.
+        s = Schedule()
+        s.record_read(1, "d", 0)
+        s.record_write(2, "d", 2)
+        s.record_write(3, "d", 3)
+        s.record_write(3, "e", 3)
+        s.record_read(1, "e", 3)
+        for txn in (1, 2, 3):
+            s.record_commit(txn)
+        assert is_serializable(s, mode="paper")
+        self.check(s, False)
+
+    def test_writer_ordered_before_an_older_version(self):
+        # t3 read d^3 (t3 wrote it) is fine alone; t2 read t3's e^3
+        # while t2's d^2 precedes d^3: the down chain gives t3 -> t2.
+        s = Schedule()
+        s.record_write(2, "d", 2)
+        s.record_write(3, "d", 3)
+        s.record_write(3, "e", 3)
+        s.record_read(4, "d", 3)
+        s.record_read(2, "e", 3)
+        for txn in (2, 3, 4):
+            s.record_commit(txn)
+        self.check(s, False)
+
+    def test_uncommitted_writers_and_readers_are_ignored(self):
+        s = Schedule()
+        s.record_write(5, "d", 5)  # never commits
+        s.record_read(1, "d", 5)   # reads an uncommitted version
+        s.record_write(1, "d", 1)
+        s.record_read(6, "d", 1)   # uncommitted reader
+        s.record_write(6, "e", 6)
+        s.record_read(1, "e", 6)
+        s.record_write(7, "d", 7)
+        s.record_abort(7)
+        s.record_commit(1)
+        self.check(s, True)
+
+    def test_one_writer_at_two_timestamps(self):
+        # t1 installs d^1 and d^4; t2 read d^1 and wrote d^2, so t1's
+        # d^4 must follow t2, but t1 read t2's e.
+        s = Schedule()
+        s.record_write(1, "d", 1)
+        s.record_read(2, "d", 1)
+        s.record_write(2, "d", 2)
+        s.record_write(2, "e", 2)
+        s.record_read(1, "e", 2)
+        s.record_write(1, "d", 4)
+        s.record_commit(1)
+        s.record_commit(2)
+        self.check(s, False)
+
+    def test_lost_update_and_figure3(self):
+        self.check(TestLostUpdateSubtlety.lost_update(), False)
+        self.check(figure3_style_cycle(), False)
+        self.check(serial_two_txn(), True)
+
+    def test_graph_is_linear_in_the_schedule(self):
+        """Count, not time: a 20k-step HDD run's audit graph has at most
+        four arcs per committed data step (two per read from the paper
+        TG, two per read and four per version from the chains)."""
+        from repro.core.scheduler import HDDScheduler
+        from repro.sim.engine import Simulator
+        from repro.sim.hierarchies import (
+            build_hierarchy_workload,
+            star_partition,
+        )
+
+        partition = star_partition(2)
+        workload = build_hierarchy_workload(
+            partition, read_only_share=0.25, granules_per_segment=8
+        )
+        simulator = Simulator(
+            HDDScheduler(partition), workload, clients=8, seed=7,
+            max_steps=20_000, gc_interval=500,
+        )
+        simulator.run()
+        schedule = simulator.scheduler.schedule
+        data_steps = len(schedule.data_steps())
+        assert data_steps > 10_000
+        graph = mvsg_reachability_graph(schedule)
+        assert graph.arc_count() <= 4 * data_steps
+        assert is_serializable(schedule, mode="mvsg")

@@ -65,6 +65,19 @@ class TestQueries:
         s.record_commit(2)
         assert s.version_order("d") == [3, 5]
 
+    def test_version_orders_cover_every_written_granule(self):
+        s = Schedule()
+        s.record_write(1, "d", 4)
+        s.record_write(2, "e", 2)
+        s.record_write(1, "d", 1)  # one txn, two versions of d
+        s.record_write(3, "f", 3)  # never commits
+        s.record_read(2, "g", 0)
+        s.record_commit(1)
+        s.record_commit(2)
+        assert s.version_orders() == {"d": [1, 4], "e": [2]}
+        assert s.version_order("f") == []
+        assert s.version_order("g") == []
+
     def test_granules(self):
         s = sample_schedule()
         assert s.granules() == {"d"}
