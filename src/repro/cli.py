@@ -891,10 +891,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     dist.add_argument(
         "--batch-gossip",
-        action="store_true",
+        action=argparse.BooleanOptionalAction,
+        default=True,
         dest="batch_gossip",
         help="coalesce journal gossip into per-link batches and "
-        "govern wall polls (same committed schedule, fewer messages)",
+        "govern wall polls (the default: same committed schedule, "
+        "fewer messages); --no-batch-gossip selects the eager "
+        "reference wire",
     )
     dist.add_argument(
         "--real",

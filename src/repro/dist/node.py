@@ -23,16 +23,19 @@ Wire protocol (all request/response pairs carry ``req``/``inc``):
 ``COMMIT_FINALIZE``  commit versions (re-installing any a crash lost),
                  close the activity interval, WAL, gossip
 ``ABORT_FINALIZE``   expunge versions, close the interval, WAL, gossip
-``POLL``         leader only: drive the time-wall manager, broadcast
-                 fresh walls to every other node
+``POLL``         leader only: drive the time-wall manager; the eager
+                 wire also broadcasts fresh walls to every other node
 ``GOSSIP``       one-way activity-digest propagation (+ ``NACK`` gap
-                 repair, ``WALL`` broadcast ingestion)
+                 repair); ``WALL`` broadcasts are received and dropped
 ===============  ====================================================
 
-Handlers gossip *before* they acknowledge: on an ideal (zero-latency,
-in-order) network every digest entry causally preceding an operation is
-therefore applied before the coordinator can issue the next operation —
-the delivery-order half of the byte-identity argument.
+On the eager wire (``batch_gossip=False``) handlers gossip *before*
+they acknowledge: on an ideal (zero-latency, in-order) network every
+digest entry causally preceding an operation is therefore applied
+before the coordinator can issue the next operation — the
+delivery-order half of the byte-identity argument.  The batched wire
+(the default) defers that gossip to the coordinator's flush barriers,
+which deliver the same entries before the RPCs that consume them.
 
 Crash-restart: the network marks the endpoint down (messages die with
 fate ``dst-down``); at the recovery tick the node rebuilds its store
@@ -52,6 +55,7 @@ database state (DESIGN.md §11).
 
 from __future__ import annotations
 
+import bisect
 from typing import Callable, Mapping, Optional, Sequence
 
 from repro.core.graph import SemiTreeIndex
@@ -112,13 +116,14 @@ class SegmentNode:
     leader:
         Whether this node hosts the :class:`TimeWallManager`.
     batch_gossip:
-        Coalesce journal gossip: instead of pushing news to every peer
-        inside each handler, entries accumulate and ship as one batched
-        message per link when the coordinator *needs* them — via
-        :meth:`flush_gossip_to` barriers before digest-consuming RPCs
-        (or, under a faulty plan, at the heartbeat cadence).  The WALL
-        broadcast is also suppressed (no node ever reads it; walls
-        reach the coordinator in POLL responses).
+        Coalesce journal gossip (the default): instead of pushing news
+        to every peer inside each handler, entries accumulate and ship
+        as one batched message per link when the coordinator *needs*
+        them — via :meth:`flush_gossip_to` barriers before
+        digest-consuming RPCs (or, under a faulty plan, at the
+        heartbeat cadence).  The WALL broadcast is also suppressed (no
+        node ever reads it; walls reach the coordinator in POLL
+        responses).  ``False`` selects the eager reference wire.
     snapshot_cache:
         Advance each served chain's frozen-prefix mark to ``I_old`` of
         this node's *own* class (first-hand activity log — exact, not
@@ -145,7 +150,7 @@ class SegmentNode:
         leader: bool = False,
         wall_interval: int = 25,
         heartbeat: int = 5,
-        batch_gossip: bool = False,
+        batch_gossip: bool = True,
         snapshot_cache: bool = True,
         wal: Optional[WriteAheadLog] = None,
         incarnation: int = 0,
@@ -199,7 +204,6 @@ class SegmentNode:
         self.engine: IntraClassEngine = ENGINES[self.engine_name](
             self.store, self.schedule, self.stats
         )
-        self.latest_wall: Optional[dict] = None
         if self.index is None:
             return
         self._horizons: dict[SegmentId, int] = {
@@ -290,7 +294,8 @@ class SegmentNode:
             self._resend_gossip(message)
             return
         if kind == "WALL":
-            self.latest_wall = dict(payload["wall"])
+            # The eager wire's broadcast: counted on the wire (the
+            # message report prices it), read by no node.
             return
         req = payload["req"]
         self.known_now = max(self.known_now, int(payload.get("now", 0)))
@@ -524,12 +529,14 @@ class SegmentNode:
                     self.network.send(
                         self.name, peer, "WALL", {"wall": serialized}
                     )
-        after = payload.get("after", -1)
-        fresh = [
-            self._serialize_wall(w)
-            for w in released
-            if w.release_ts > after
-        ]
+        # ``released`` is appended in release order and never retired
+        # here, so the walls past ``after`` are one bisection away.
+        start = bisect.bisect_right(
+            released,
+            payload.get("after", -1),
+            key=lambda wall: wall.release_ts,
+        )
+        fresh = [self._serialize_wall(w) for w in released[start:]]
         # ``pending``/``blocked_on`` feed the coordinator's poll
         # governor: while the computation at ``pending`` is gated on
         # ``blocked_on`` closing an interval, further polls are provably

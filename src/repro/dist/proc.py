@@ -119,7 +119,7 @@ class NodeConfig:
     leader: bool = False
     wall_interval: int = 25
     heartbeat: int = 5
-    batch_gossip: bool = False
+    batch_gossip: bool = True
     snapshot_cache: bool = True
     incarnation: int = 0
     wal_path: Optional[str] = None
@@ -164,7 +164,7 @@ class NodeConfig:
             leader=bool(record.get("leader")),
             wall_interval=int(record.get("wall_interval", 25)),
             heartbeat=int(record.get("heartbeat", 5)),
-            batch_gossip=bool(record.get("batch_gossip")),
+            batch_gossip=bool(record.get("batch_gossip", True)),
             snapshot_cache=bool(record.get("snapshot_cache", True)),
             incarnation=int(record.get("incarnation", 0)),
             wal_path=record.get("wal_path"),

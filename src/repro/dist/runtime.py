@@ -19,37 +19,43 @@ Modes
 
 Byte-identity at zero faults
 ----------------------------
-On an ideal plan every RPC resolves inside one network tick, handlers
-gossip before they acknowledge, and digest horizons read the shared
-oracle clock — so every wall, outcome, timestamp and schedule step
-matches the monolithic scheduler byte for byte (the equivalence test
-pins this).  The coordinator methods below deliberately mirror
+On an ideal plan every RPC resolves inside one network tick, every
+digest entry an RPC consumes is delivered before it (flush barriers on
+the batched wire, gossip-before-ack on the eager one), and digest
+horizons read the shared oracle clock — so every wall, outcome,
+timestamp and schedule step matches the monolithic scheduler byte for
+byte (the equivalence tests pin this on both wires).  The coordinator
+methods below deliberately mirror
 :class:`repro.core.scheduler.HDDScheduler` line by line; deviations are
 commented where the wire forces one.
 
 Gossip batching
 ---------------
-``batch_gossip=True`` coalesces the wire without touching the
-execution.  Nodes stop pushing journal gossip eagerly from inside
-handlers; instead the coordinator raises *flush barriers* exactly where
-digests are consumed: every node flushes to the leader before a POLL
-(``e_func`` and settlement read every class's digest, and an interval
-end at any timestamp can flip computability), and the intermediate
-classes of the critical path flush to the target before a
-wall-computing READ_A (one-hop walls are first-hand at the target and
-need no barrier).  BEGIN stays a synchronous RPC — its gossip may
-defer, but the class's own activity log is first-hand where it
-matters.  On an ideal plan a *poll governor* additionally skips POLLs
-that are provably no-ops, using the leader's ``pending``/``blocked_on``
-response fields and the retry-gate argument (a blocked wall computation
-at a fixed base can only turn around when the blocking class closes an
-interval — and every closure goes through this coordinator).  The WALL
-broadcast is suppressed entirely: no node reads it, and the
-coordinator — the only wall consumer — gets walls from POLL responses.
-Committed schedule, stats, walls and values stay byte-identical to the
-eager wire (pinned by ``tests/dist/test_batching.py``); under a faulty
-plan the governor disarms (a lost response could wedge it) and the
-heartbeat becomes the gossip cadence, with NACK repair unchanged.
+The default wire (``batch_gossip=True``) is coalesced; it changes the
+messages, not the execution.  ``batch_gossip=False`` selects the eager
+wire, kept as the reference the batched one is checked against (the
+explorer's batched≡eager oracle, the ``hdd`` section of the message
+bench, fault fuzzing of both wires).  On the batched wire nodes do not
+push journal gossip from inside handlers; instead the coordinator raises
+*flush barriers* exactly where digests are consumed: every node flushes
+to the leader before a POLL (``e_func`` and settlement read every
+class's digest, and an interval end at any timestamp can flip
+computability), and the intermediate classes of the critical path flush
+to the target before a wall-computing READ_A (one-hop walls are
+first-hand at the target and need no barrier).  BEGIN stays a synchronous
+RPC — its gossip may defer, but the class's own activity log is
+first-hand where it matters.  On an ideal plan a *poll governor*
+additionally skips POLLs that are provably no-ops, using the leader's
+``pending``/``blocked_on`` response fields and the retry-gate argument
+(a blocked wall computation at a fixed base can only turn around when
+the blocking class closes an interval — and every closure goes through
+this coordinator).  The WALL broadcast is suppressed entirely: no node
+reads it, and the coordinator — the only wall consumer — gets walls from
+POLL responses.  Committed schedule, stats, walls and values stay
+byte-identical to the eager wire (pinned by
+``tests/dist/test_batching.py``); under a faulty plan the governor
+disarms (a lost response could wedge it) and the heartbeat becomes the
+gossip cadence, with NACK repair unchanged.
 
 Fault handling
 --------------
@@ -254,7 +260,7 @@ class DistributedRuntime:
         wall_interval: int = 25,
         heartbeat: int = 5,
         clock: Optional[LogicalClock] = None,
-        batch_gossip: bool = False,
+        batch_gossip: bool = True,
         snapshot_cache: bool = True,
         transport: str = "sim",
         procs: Optional[int] = None,

@@ -38,22 +38,6 @@ from repro.sweep.spec import (
 ARTIFACT_VERSION = 1
 
 
-def plan_to_dict(plan) -> dict[str, object]:
-    """A :class:`~repro.dist.net.FaultPlan` as canonical pure data."""
-    return {
-        "latency": plan.latency,
-        "jitter": plan.jitter,
-        "drop_rate": plan.drop_rate,
-        "spike_rate": plan.spike_rate,
-        "spike_ticks": plan.spike_ticks,
-        "partitions": [
-            [w.start, w.end, sorted(w.left), sorted(w.right)]
-            for w in plan.partitions
-        ],
-        "crashes": [[c.node, c.at, c.recover] for c in plan.crashes],
-    }
-
-
 def plan_from_dict(data: Mapping[str, object]):
     from repro.dist.net import Crash, FaultPlan, Partition
 

@@ -12,9 +12,9 @@ One :func:`explore` call hunts one target (a case template) within an
 3. **Neighborhood** — systematic single-deviation probes of the
    baseline's recorded choice points (the smallest possible schedule
    changes, spread across the run by stride).
-4. **Fault fuzzing** — for eager distributed targets, plan mutations
-   inside the declared :class:`FaultBudget`, frontier-prioritised by
-   coverage novelty.
+4. **Fault fuzzing** — for distributed targets on either wire, plan
+   mutations inside the declared :class:`FaultBudget`,
+   frontier-prioritised by coverage novelty.
 
 The first violation (or every violation, with ``stop_on_first=False``)
 is verified by deterministic replay of its recorded decision trace and
@@ -204,8 +204,8 @@ def explore(
             result.coverage = len(coverage.features)
             return result
 
-    # -- phase 4: fault fuzzing (eager dist targets only) -------------
-    if budget.fuzz and template.dist and not template.batch_gossip:
+    # -- phase 4: fault fuzzing (dist targets, both wires) ------------
+    if budget.fuzz and template.dist:
         from repro.dist.node import node_name
         from repro.sweep.spec import build_workload
 

@@ -51,7 +51,9 @@ from repro.sim.workload import Workload
 
 #: Bump to invalidate every on-disk sweep cache entry (the hash is the
 #: cache key, and results depend on engine behaviour, not just config).
-SWEEP_CACHE_VERSION = 1
+#: Version 2: a ``dist`` block without ``batch_gossip`` runs the batched
+#: wire, so results cached under version 1 (eager) must not be served.
+SWEEP_CACHE_VERSION = 2
 
 
 #: The canonical scheduler registry (the CLI shares it).
@@ -98,7 +100,8 @@ class RunConfig:
     )
     #: Distributed-runtime parameters (``latency``, ``jitter``,
     #: ``drop_rate``, ``spike_rate``, ``spike_ticks``, ``net_seed``,
-    #: ``wall_interval``, ``heartbeat``, ``batch_gossip``) or ``None``
+    #: ``wall_interval``, ``heartbeat``, ``batch_gossip`` — default
+    #: ``True``; ``False`` selects the eager reference wire) or ``None``
     #: for the monolithic scheduler.  ``None`` is omitted from
     #: :meth:`to_dict` so every pre-existing config hash (and its
     #: cached result) is unchanged.
@@ -198,7 +201,7 @@ def _make_dist_runtime(config: RunConfig, partition):
     net_seed = int(params.pop("net_seed", 0))
     wall_interval = int(params.pop("wall_interval", 25))
     heartbeat = int(params.pop("heartbeat", 5))
-    batch_gossip = bool(params.pop("batch_gossip", False))
+    batch_gossip = bool(params.pop("batch_gossip", True))
     transport = str(params.pop("transport", "sim"))
     raw_procs = params.pop("procs", None)
     procs = None if raw_procs is None else int(raw_procs)

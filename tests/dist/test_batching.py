@@ -1,15 +1,19 @@
 """Coalesced gossip batching: same execution, fewer messages.
 
-``batch_gossip=True`` defers journal gossip into per-link batches
-flushed at digest-consumption barriers, governs wall polls on ideal
-plans, and drops the (unread) WALL broadcast.  These tests pin the
-optimisation's whole contract: the batched wire must replay the
-monolithic scheduler byte for byte on an ideal plan, stay deterministic
-under faults, and actually shrink the message count.
+``batch_gossip=True`` (the default) defers journal gossip into
+per-link batches flushed at digest-consumption barriers, governs wall
+polls on ideal plans, and drops the (unread) WALL broadcast.  These
+tests pin the optimisation's whole contract: the batched wire must
+replay the monolithic scheduler byte for byte on an ideal plan, stay
+deterministic under faults, actually shrink the message count against
+the eager reference wire (``batch_gossip=False``), and be what every
+entry point — the runtime, ``repro dist`` and a sweep ``dist`` cell —
+runs when no wire is named.
 """
 
 import pytest
 
+from repro.cli import _dist_run, build_parser
 from repro.core.scheduler import HDDScheduler
 from repro.dist import Crash, DistributedRuntime, FaultPlan, node_name
 from repro.sim.engine import Simulator
@@ -17,6 +21,7 @@ from repro.sim.inventory import (
     build_inventory_partition,
     build_inventory_workload,
 )
+from repro.sweep.spec import RunConfig, build_simulator
 
 COMMITS = 150
 
@@ -80,23 +85,112 @@ def test_batched_walls_match_monolithic_releases():
     assert dist_walls == mono_walls
 
 
+def eager(partition, mode="hdd", plan=None, seed=0):
+    return DistributedRuntime(
+        partition,
+        mode=mode,
+        plan=plan if plan is not None else FaultPlan(),
+        seed=seed,
+        batch_gossip=False,
+    )
+
+
+def assert_batched_wire(runtime):
+    """No WALL broadcast, and the poll governor skipped something."""
+    assert runtime.batch_gossip
+    assert runtime.network.sent_by_kind.get("WALL", 0) == 0
+    assert runtime.polls_skipped > 0
+
+
+def assert_eager_wire(runtime):
+    assert not runtime.batch_gossip
+    assert runtime.network.sent_by_kind.get("WALL", 0) > 0
+    assert runtime.polls_skipped == 0
+
+
 def test_batched_wire_is_smaller_and_governed():
-    eager, _ = run_one(
+    eager_run, _ = run_one(eager)
+    dist, _ = run_one(lambda p: batched(p))
+    assert len(dist.network.log) < len(eager_run.network.log)
+    # The governor actually fired, and the WALL broadcast is gone.
+    assert_batched_wire(dist)
+    assert_eager_wire(eager_run)
+    # Fewer POLL round-trips and fewer (coalesced) gossip messages.
+    sent = dist.network.sent_by_kind
+    eager_sent = eager_run.network.sent_by_kind
+    assert sent["POLL"] < eager_sent["POLL"]
+    assert sent["GOSSIP"] < eager_sent["GOSSIP"]
+
+
+def test_default_runtime_runs_the_batched_wire():
+    default, _ = run_one(
         lambda p: DistributedRuntime(p, mode="hdd", plan=FaultPlan(), seed=0)
     )
-    dist, _ = run_one(lambda p: batched(p))
-    assert len(dist.network.log) < len(eager.network.log)
-    # The governor actually fired, and the WALL broadcast is gone.
-    assert dist.polls_skipped > 0
-    assert dist.network.sent_by_kind.get("WALL", 0) == 0
-    assert eager.network.sent_by_kind.get("WALL", 0) > 0
-    # Fewer POLL round-trips and fewer (coalesced) gossip messages.
-    assert dist.network.sent_by_kind["POLL"] < eager.network.sent_by_kind[
-        "POLL"
-    ]
-    assert dist.network.sent_by_kind["GOSSIP"] < eager.network.sent_by_kind[
-        "GOSSIP"
-    ]
+    assert_batched_wire(default)
+    explicit, _ = run_one(lambda p: batched(p))
+    assert default.network.log_lines() == explicit.network.log_lines()
+
+
+@pytest.mark.parametrize("mode", ["hdd", "hdd-to"])
+def test_eager_wire_commits_the_batched_schedule(mode):
+    eager_run, eager_result = run_one(lambda p: eager(p, mode=mode))
+    dist, dist_result = run_one(lambda p: batched(p, mode=mode))
+    assert_eager_wire(eager_run)
+    assert str(eager_run.schedule) == str(dist.schedule)
+    assert eager_run.stats == dist.stats
+    assert eager_result.steps == dist_result.steps
+
+
+def test_baseline_modes_ignore_the_flag():
+    runtime = DistributedRuntime(build_inventory_partition(), mode="mvto")
+    assert not runtime.batch_gossip
+
+
+CLI_RUN = ["dist", "--commits", "40", "--clients", "6", "--seed", "3"]
+
+
+def cli_runtime(*flags):
+    args = build_parser().parse_args(CLI_RUN + list(flags))
+    runtime, result = _dist_run(args)
+    runtime.close()
+    assert result.commits == 40
+    return runtime, result
+
+
+def test_cli_dist_defaults_to_the_batched_wire():
+    default, _ = cli_runtime()
+    assert_batched_wire(default)
+    # Old scripts that name the (formerly opt-in) flag keep working.
+    explicit, _ = cli_runtime("--batch-gossip")
+    assert explicit.network.log_lines() == default.network.log_lines()
+
+
+def test_cli_no_batch_gossip_selects_the_eager_wire():
+    batched_run, batched_result = cli_runtime()
+    eager_run, eager_result = cli_runtime("--no-batch-gossip")
+    assert_eager_wire(eager_run)
+    assert str(eager_run.schedule) == str(batched_run.schedule)
+    assert eager_run.stats == batched_run.stats
+    assert eager_result.steps == batched_result.steps
+
+
+@pytest.mark.parametrize(
+    "dist, expect",
+    [
+        ({"latency": 0}, assert_batched_wire),
+        ({"latency": 0, "batch_gossip": False}, assert_eager_wire),
+    ],
+)
+def test_sweep_dist_cell_wire(dist, expect):
+    # Cells differing in any key hash to different effective seeds, so
+    # the schedule comparison between wires is made on the CLI above.
+    simulator = build_simulator(
+        RunConfig(
+            scheduler="hdd", target_commits=40, max_steps=100_000, dist=dist
+        )
+    )
+    assert simulator.run().commits == 40
+    expect(simulator.scheduler)
 
 
 def faulty_batched_run():
