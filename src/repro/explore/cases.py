@@ -140,7 +140,13 @@ class ExploreCase:
         false positive on a correct scheduler — so those targets are
         explored at the simulator level only.
         """
-        return self.batch_gossip and not dict(self.plan)
+        return self.batch_gossip and self.plan_is_ideal
+
+    @property
+    def plan_is_ideal(self) -> bool:
+        """Whether the plan is ideal as the runtime judges it: a fuzzed
+        plan such as ``{"latency": 0}`` is non-empty but still ideal."""
+        return plan_from_dict(self.plan).is_ideal
 
     @property
     def perturb_points(self) -> tuple[str, ...]:

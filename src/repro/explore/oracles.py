@@ -136,7 +136,7 @@ def batched_eager_applicable(case: ExploreCase) -> bool:
     return (
         case.dist
         and case.batch_gossip
-        and not dict(case.plan)
+        and case.plan_is_ideal
         and all(c.point in ("ready", "arrival") for c in case.choices)
     )
 

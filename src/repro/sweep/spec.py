@@ -51,9 +51,7 @@ from repro.sim.workload import Workload
 
 #: Bump to invalidate every on-disk sweep cache entry (the hash is the
 #: cache key, and results depend on engine behaviour, not just config).
-#: Version 2: a ``dist`` block without ``batch_gossip`` runs the batched
-#: wire, so results cached under version 1 (eager) must not be served.
-SWEEP_CACHE_VERSION = 2
+SWEEP_CACHE_VERSION = 1
 
 
 #: The canonical scheduler registry (the CLI shares it).
@@ -103,8 +101,10 @@ class RunConfig:
     #: ``wall_interval``, ``heartbeat``, ``batch_gossip`` — default
     #: ``True``; ``False`` selects the eager reference wire) or ``None``
     #: for the monolithic scheduler.  ``None`` is omitted from
-    #: :meth:`to_dict` so every pre-existing config hash (and its
-    #: cached result) is unchanged.
+    #: :meth:`to_dict` so every monolithic config hash (and its cached
+    #: result) is unchanged; :meth:`to_dict` writes the resolved
+    #: ``batch_gossip`` into a ``dist`` block, so a cell that omits it
+    #: hashes as the batched cell it runs, never as a cached eager one.
     dist: Optional[Mapping[str, object]] = None
 
     def to_dict(self) -> dict[str, object]:
@@ -122,7 +122,7 @@ class RunConfig:
             "workload": dict(self.workload),
         }
         if self.dist is not None:
-            data["dist"] = dict(self.dist)
+            data["dist"] = {"batch_gossip": True, **self.dist}
         return data
 
     @classmethod

@@ -3,96 +3,50 @@
 ``batch_gossip=True`` (the default) defers journal gossip into
 per-link batches flushed at digest-consumption barriers, governs wall
 polls on ideal plans, and drops the (unread) WALL broadcast.  These
-tests pin the optimisation's whole contract: the batched wire must
-replay the monolithic scheduler byte for byte on an ideal plan, stay
-deterministic under faults, actually shrink the message count against
-the eager reference wire (``batch_gossip=False``), and be what every
-entry point — the runtime, ``repro dist`` and a sweep ``dist`` cell —
-runs when no wire is named.
+tests pin what is particular to the batched wire: it must actually
+shrink the message count against the eager reference wire
+(``batch_gossip=False``), disarm its governor under faults, and be
+what ``repro dist`` and a sweep ``dist`` cell run when no wire is
+named.  Byte-for-byte equivalence with the monolith on an ideal plan
+(both wires) is in ``test_equivalence.py``; determinism under faults
+(both wires) is in ``test_determinism.py``.
 """
 
 import pytest
 
 from repro.cli import _dist_run, build_parser
-from repro.core.scheduler import HDDScheduler
-from repro.dist import Crash, DistributedRuntime, FaultPlan, node_name
+from repro.dist import DistributedRuntime, FaultPlan
 from repro.sim.engine import Simulator
 from repro.sim.inventory import (
     build_inventory_partition,
     build_inventory_workload,
 )
 from repro.sweep.spec import RunConfig, build_simulator
+from test_determinism import faulty_run
 
-COMMITS = 150
 
-
-def run_one(make_scheduler, target_commits=COMMITS):
+def ideal_run(batch_gossip):
     partition = build_inventory_partition()
     workload = build_inventory_workload(
         partition, read_only_share=0.25, skew=1.0
     )
-    scheduler = make_scheduler(partition)
-    result = Simulator(
-        scheduler,
+    runtime = DistributedRuntime(
+        partition,
+        mode="hdd",
+        plan=FaultPlan(),
+        seed=0,
+        batch_gossip=batch_gossip,
+    )
+    Simulator(
+        runtime,
         workload,
         clients=8,
         seed=42,
-        target_commits=target_commits,
+        target_commits=150,
         max_steps=200_000,
         audit=True,
     ).run()
-    return scheduler, result
-
-
-def batched(partition, mode="hdd", plan=None, seed=0):
-    return DistributedRuntime(
-        partition,
-        mode=mode,
-        plan=plan if plan is not None else FaultPlan(),
-        seed=seed,
-        batch_gossip=True,
-    )
-
-
-@pytest.mark.parametrize("mode", ["hdd", "hdd-to"])
-def test_batched_ideal_run_byte_identical_to_monolithic(mode):
-    protocol_b = "to" if mode == "hdd-to" else "mvto"
-    mono, mono_result = run_one(
-        lambda p: HDDScheduler(p, protocol_b=protocol_b)
-    )
-    dist, dist_result = run_one(lambda p: batched(p, mode=mode))
-    assert str(dist.schedule) == str(mono.schedule)
-    assert dist_result.commits == mono_result.commits
-    assert dist_result.steps == mono_result.steps
-    assert dist.stats == mono.stats
-    for granule in mono.store.granules():
-        assert dist.store.committed_value(
-            granule
-        ) == mono.store.committed_value(granule)
-
-
-def test_batched_walls_match_monolithic_releases():
-    mono, _ = run_one(lambda p: HDDScheduler(p))
-    dist, _ = run_one(lambda p: batched(p))
-    mono_walls = [
-        (w.base_time, w.release_ts, dict(w.components))
-        for w in mono.walls.released
-    ]
-    dist_walls = [
-        (w.base_time, w.release_ts, dict(w.components))
-        for w in dist.walls.released
-    ]
-    assert dist_walls == mono_walls
-
-
-def eager(partition, mode="hdd", plan=None, seed=0):
-    return DistributedRuntime(
-        partition,
-        mode=mode,
-        plan=plan if plan is not None else FaultPlan(),
-        seed=seed,
-        batch_gossip=False,
-    )
+    return runtime
 
 
 def assert_batched_wire(runtime):
@@ -109,8 +63,8 @@ def assert_eager_wire(runtime):
 
 
 def test_batched_wire_is_smaller_and_governed():
-    eager_run, _ = run_one(eager)
-    dist, _ = run_one(lambda p: batched(p))
+    eager_run = ideal_run(batch_gossip=False)
+    dist = ideal_run(batch_gossip=True)
     assert len(dist.network.log) < len(eager_run.network.log)
     # The governor actually fired, and the WALL broadcast is gone.
     assert_batched_wire(dist)
@@ -120,25 +74,6 @@ def test_batched_wire_is_smaller_and_governed():
     eager_sent = eager_run.network.sent_by_kind
     assert sent["POLL"] < eager_sent["POLL"]
     assert sent["GOSSIP"] < eager_sent["GOSSIP"]
-
-
-def test_default_runtime_runs_the_batched_wire():
-    default, _ = run_one(
-        lambda p: DistributedRuntime(p, mode="hdd", plan=FaultPlan(), seed=0)
-    )
-    assert_batched_wire(default)
-    explicit, _ = run_one(lambda p: batched(p))
-    assert default.network.log_lines() == explicit.network.log_lines()
-
-
-@pytest.mark.parametrize("mode", ["hdd", "hdd-to"])
-def test_eager_wire_commits_the_batched_schedule(mode):
-    eager_run, eager_result = run_one(lambda p: eager(p, mode=mode))
-    dist, dist_result = run_one(lambda p: batched(p, mode=mode))
-    assert_eager_wire(eager_run)
-    assert str(eager_run.schedule) == str(dist.schedule)
-    assert eager_run.stats == dist.stats
-    assert eager_result.steps == dist_result.steps
 
 
 def test_baseline_modes_ignore_the_flag():
@@ -193,41 +128,10 @@ def test_sweep_dist_cell_wire(dist, expect):
     expect(simulator.scheduler)
 
 
-def faulty_batched_run():
-    partition = build_inventory_partition()
-    workload = build_inventory_workload(
-        partition, read_only_share=0.25, skew=1.0
-    )
-    plan = FaultPlan(
-        latency=1,
-        jitter=2,
-        drop_rate=0.08,
-        spike_rate=0.05,
-        spike_ticks=4,
-        crashes=(Crash(node_name("inventory"), 200, 230),),
-    )
-    runtime = batched(partition, plan=plan, seed=9)
-    result = Simulator(
-        runtime,
-        workload,
-        clients=8,
-        seed=7,
-        target_commits=80,
-        max_steps=200_000,
-        audit=True,
-    ).run()
-    return runtime, result
-
-
-def test_batched_faulty_runs_stay_deterministic():
-    first, first_result = faulty_batched_run()
-    second, second_result = faulty_batched_run()
-    assert first.network.log_lines() == second.network.log_lines()
-    assert str(first.schedule) == str(second.schedule)
-    assert first.stats == second.stats
-    assert first_result.steps == second_result.steps
-    assert first_result.commits == 80
-    # The governor must be disarmed under faults: a lost POLL response
-    # could otherwise wedge it on stale state.
-    assert not first._gov_active
-    assert first.polls_skipped == 0
+def test_governor_disarmed_under_faults():
+    # A lost POLL response could otherwise wedge it on stale state.
+    runtime, result = faulty_run()
+    assert runtime.batch_gossip
+    assert result.commits == 80
+    assert not runtime._gov_active
+    assert runtime.polls_skipped == 0

@@ -4,7 +4,12 @@ Two forms, per the acceptance criteria: (a) two identical fault runs
 produce byte-identical message logs and committed schedules; (b) a
 sweep whose cells embed distributed runs merges byte-identically
 whether executed inline or across a process pool.
+
+Form (a) runs on both wires: the default, batched one and the eager
+reference (``batch_gossip=False``).
 """
+
+import pytest
 
 from repro.dist import Crash, DistributedRuntime, FaultPlan, node_name
 from repro.sim.engine import Simulator
@@ -15,7 +20,7 @@ from repro.sim.inventory import (
 from repro.sweep import SweepRunner, SweepSpec
 
 
-def faulty_run(mode="hdd"):
+def faulty_run(mode="hdd", batch_gossip=True):
     partition = build_inventory_partition()
     workload = build_inventory_workload(
         partition, read_only_share=0.25, skew=1.0
@@ -28,7 +33,9 @@ def faulty_run(mode="hdd"):
         spike_ticks=4,
         crashes=(Crash(node_name("inventory"), 200, 230),),
     )
-    runtime = DistributedRuntime(partition, mode=mode, plan=plan, seed=9)
+    runtime = DistributedRuntime(
+        partition, mode=mode, plan=plan, seed=9, batch_gossip=batch_gossip
+    )
     result = Simulator(
         runtime,
         workload,
@@ -41,9 +48,13 @@ def faulty_run(mode="hdd"):
     return runtime, result
 
 
-def test_identical_fault_runs_are_byte_identical():
-    first, first_result = faulty_run()
-    second, second_result = faulty_run()
+@pytest.mark.parametrize(
+    "batch_gossip", [True, False], ids=["batched", "eager"]
+)
+def test_identical_fault_runs_are_byte_identical(batch_gossip):
+    first, first_result = faulty_run(batch_gossip=batch_gossip)
+    second, second_result = faulty_run(batch_gossip=batch_gossip)
+    assert first.batch_gossip == batch_gossip
     assert first.network.log_lines() == second.network.log_lines()
     assert str(first.schedule) == str(second.schedule)
     assert first.stats == second.stats

@@ -6,6 +6,9 @@ every digest clamp is a no-op — so the distributed runtime must replay
 the monolithic scheduler *byte for byte*: same committed schedule,
 same stats, same versions.  This pins the acceptance criterion for
 HDD and two baselines (ISSUE: "HDD and >= 2 baselines").
+
+The HDD modes run on both wires: the default, batched one (built
+without naming a wire) and the eager reference (``batch_gossip=False``).
 """
 
 import pytest
@@ -21,6 +24,7 @@ from repro.sim.inventory import (
     build_inventory_partition,
     build_inventory_workload,
 )
+from test_batching import assert_batched_wire, assert_eager_wire
 
 COMMITS = 150
 
@@ -50,14 +54,39 @@ def run_one(make_scheduler):
     return scheduler, result
 
 
-@pytest.mark.parametrize("mode", sorted(MONOLITHS))
-def test_ideal_run_byte_identical_to_monolithic(mode):
-    mono, mono_result = run_one(MONOLITHS[mode])
-    dist, dist_result = run_one(
+#: (mode, wire): ``None`` builds the runtime without naming a wire.
+RUNS = [
+    pytest.param("hdd", None, id="hdd-default"),
+    pytest.param("hdd", False, id="hdd-eager"),
+    pytest.param("hdd-to", None, id="hdd-to-default"),
+    pytest.param("hdd-to", False, id="hdd-to-eager"),
+    pytest.param("to", None, id="to"),
+    pytest.param("mvto", None, id="mvto"),
+]
+WIRES = pytest.mark.parametrize(
+    "wire", [None, False], ids=["default", "eager"]
+)
+
+
+def dist_run(mode, wire=None):
+    wire_kwargs = {} if wire is None else {"batch_gossip": wire}
+    dist, result = run_one(
         lambda partition: DistributedRuntime(
-            partition, mode=mode, plan=FaultPlan(), seed=0
+            partition, mode=mode, plan=FaultPlan(), seed=0, **wire_kwargs
         )
     )
+    if mode.startswith("hdd"):
+        if wire is None:
+            assert_batched_wire(dist)
+        else:
+            assert_eager_wire(dist)
+    return dist, result
+
+
+@pytest.mark.parametrize("mode, wire", RUNS)
+def test_ideal_run_byte_identical_to_monolithic(mode, wire):
+    mono, mono_result = run_one(MONOLITHS[mode])
+    dist, dist_result = dist_run(mode, wire)
     assert str(dist.schedule) == str(mono.schedule)
     assert dist_result.commits == mono_result.commits
     assert dist_result.steps == mono_result.steps
@@ -69,24 +98,18 @@ def test_ideal_run_byte_identical_to_monolithic(mode):
         ) == mono.store.committed_value(granule)
 
 
-def test_ideal_network_never_advances_during_rpcs():
-    dist, _ = run_one(
-        lambda partition: DistributedRuntime(
-            partition, mode="hdd", plan=FaultPlan(), seed=0
-        )
-    )
+@WIRES
+def test_ideal_network_never_advances_during_rpcs(wire):
+    dist, _ = dist_run("hdd", wire)
     # Every send resolves in-tick; only the send itself is on the log.
     assert all(m.fate == "delivered" for m in dist.network.log)
     assert dist.network.dropped_by_kind == {}
 
 
-def test_hdd_walls_match_monolithic_releases():
+@WIRES
+def test_hdd_walls_match_monolithic_releases(wire):
     mono, _ = run_one(MONOLITHS["hdd"])
-    dist, _ = run_one(
-        lambda partition: DistributedRuntime(
-            partition, mode="hdd", plan=FaultPlan(), seed=0
-        )
-    )
+    dist, _ = dist_run("hdd", wire)
     mono_walls = [
         (w.base_time, w.release_ts, dict(w.components))
         for w in mono.walls.released

@@ -4,7 +4,9 @@ Latency, jitter, drops, a partition window, and a crash-restart of one
 segment node — the serializability audit stays on (``audit=True``
 raises on any non-serializable schedule), so a completed run IS the
 safety claim.  Crash fencing must surface as clean ``node restart``
-aborts, and recovery must leave every granule readable.
+aborts, and recovery must leave every granule readable.  The hostile
+run is checked on both wires: the default, batched one and the eager
+reference (``batch_gossip=False``).
 """
 
 import pytest
@@ -38,13 +40,17 @@ def hostile_plan(partition):
     )
 
 
-def run_hostile(mode="hdd", commits=100):
+def run_hostile(mode="hdd", commits=100, batch_gossip=True):
     partition = build_inventory_partition()
     workload = build_inventory_workload(
         partition, read_only_share=0.25, skew=1.0
     )
     runtime = DistributedRuntime(
-        partition, mode=mode, plan=hostile_plan(partition), seed=0
+        partition,
+        mode=mode,
+        plan=hostile_plan(partition),
+        seed=0,
+        batch_gossip=batch_gossip,
     )
     result = Simulator(
         runtime,
@@ -58,8 +64,12 @@ def run_hostile(mode="hdd", commits=100):
     return runtime, result
 
 
-def test_hostile_run_commits_and_stays_serializable():
-    runtime, result = run_hostile()
+@pytest.mark.parametrize(
+    "batch_gossip", [True, False], ids=["batched", "eager"]
+)
+def test_hostile_run_commits_and_stays_serializable(batch_gossip):
+    runtime, result = run_hostile(batch_gossip=batch_gossip)
+    assert runtime.batch_gossip == batch_gossip
     assert result.commits == 100
     network = runtime.network
     assert network.tick_now > 340  # the whole fault plan actually ran

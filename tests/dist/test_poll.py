@@ -2,8 +2,8 @@
 
 ``SegmentNode._handle_poll`` bisects the leader's release-ordered wall
 list instead of scanning it; the response must equal the filtered scan
-for any ``after`` — none yet (-1), exactly a wall's release time,
-between two walls, the newest wall, and past it.
+for any ``after`` — none yet (-1, or no key at all), exactly a wall's
+release time, between two walls, the newest wall, and past it.
 """
 
 import random
@@ -62,9 +62,5 @@ def test_poll_response_equals_the_filtered_scan():
         assert leader._handle_poll({"after": newest})["walls"] == []
         everything = leader._handle_poll({"after": -1})["walls"]
         assert len(everything) == len(leader.walls.released)
+        assert leader._handle_poll({})["walls"] == everything
 
-
-def test_poll_without_after_returns_every_wall():
-    leader = leader_after_run(True)
-    response = leader._handle_poll({})
-    assert len(response["walls"]) == len(leader.walls.released)

@@ -72,6 +72,20 @@ def test_batched_eager_applicability_gating():
     assert not batched_eager_applicable(ExploreCase(dist=True))
 
 
+def test_non_empty_ideal_plans_count_as_ideal():
+    """The fuzzer proposes plans like ``{"latency": 0}``: non-empty, but
+    the runtime still arms the POLL governor on them, so net-level
+    perturbation stays off and the batched==eager oracle applies."""
+    for plan in ({"latency": 0}, {"jitter": 0}, {"crashes": []}):
+        case = ExploreCase(dist=True, batch_gossip=True, plan=plan)
+        assert case.plan_is_ideal
+        assert case.perturb_points == ("ready", "arrival")
+        assert batched_eager_applicable(case)
+    faulty = ExploreCase(dist=True, batch_gossip=True, plan={"latency": 1})
+    assert not faulty.plan_is_ideal
+    assert "deliver" in faulty.perturb_points
+
+
 def test_check_case_on_error_only_report():
     report = RunReport(case=ExploreCase(), error="RuntimeError: stalled")
     kinds = [v.kind for v in check_case(report)]

@@ -55,6 +55,22 @@ class TestConfigHash:
         assert config_hash(base) not in hashes
         assert len(hashes) == len(variants)
 
+    def test_monolithic_seed_is_stable(self):
+        # Sweep figures reproduce only while this seed holds.
+        digest = config_hash(RunConfig(scheduler="hdd"))
+        assert effective_seed(digest) == 297126657418773858
+
+    def test_dist_cell_hashes_as_the_wire_it_runs(self):
+        def dist_hash(**dist):
+            return config_hash(RunConfig(scheduler="hdd", dist=dist))
+
+        assert dist_hash(latency=0) == dist_hash(
+            latency=0, batch_gossip=True
+        )
+        assert dist_hash(latency=0) != dist_hash(
+            latency=0, batch_gossip=False
+        )
+
     def test_effective_seed_is_hash_prefix(self):
         digest = config_hash(RunConfig(scheduler="hdd"))
         assert effective_seed(digest) == int(digest[:16], 16)
